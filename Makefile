@@ -27,16 +27,21 @@ test:
 # Race-detect the concurrency-bearing packages: the serving subsystem
 # (replica pools, micro-batcher), the gateway (probe loops, hedged
 # requests, scatter-gather), the batched kernels (shared worker pools,
-# recycled buffers), and the communication layer (helper-team
-# collectives, TCP reader/heartbeat goroutines).
+# recycled buffers), the communication layer (helper-team collectives,
+# TCP reader/heartbeat goroutines), the streaming loader (prefetch
+# goroutines), the training loop (rank goroutines, overlapped
+# allreduce), and the timeline rings.
 race:
-	$(GO) test -race ./internal/serve ./internal/gateway ./internal/nn ./internal/comm ./internal/dist
+	$(GO) test -race ./internal/serve ./internal/gateway ./internal/nn ./internal/comm ./internal/dist ./internal/data ./internal/train ./internal/obsv
 
-# Short fuzz of the wire codec's decoder: header-bounded size checks,
-# truncated frames, dims/dtype abuse. Seconds, not minutes — the corpus
-# seeds cover the known-nasty shapes and CI just shakes for regressions.
+# Short fuzz of the decoders that read untrusted bytes: the wire codec
+# (header-bounded size checks, truncated frames, dims/dtype abuse) and
+# the training-state section (bounded counts, canonical re-encoding).
+# Seconds, not minutes — the corpus seeds cover the known-nasty shapes
+# and CI just shakes for regressions.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadTensor -fuzztime 10s ./internal/serve/wire
+	$(GO) test -run '^$$' -fuzz FuzzLoadTrainState -fuzztime 10s ./internal/train
 
 # Full benchmark sweep (minutes); see EXPERIMENTS.md for the record.
 bench:

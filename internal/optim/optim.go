@@ -20,7 +20,6 @@ import (
 	"math"
 
 	"repro/internal/nn"
-	"repro/internal/tensor"
 )
 
 // Optimizer is the update rule the training loop drives, plus the state
@@ -135,43 +134,45 @@ func (o *AdamLARC) StateBuffers() [][]float32 {
 	return out
 }
 
-// Step applies one update using each parameter's accumulated gradient.
+// Step applies one update using each parameter's accumulated gradient:
+// one LARC norm sweep, then one fused pass over the tensor's elements.
+// Loop-invariant scalars stay outside the element loop; a float32
+// conversion inside it writes only the low lane of an XMM register and
+// so chains each element to the previous element's divide/sqrt. The
+// per-element arithmetic must not change: saved checkpoints resume
+// bit-identically only while it stays as TestStepMatchesReference pins.
 func (o *AdamLARC) Step() {
 	eta := o.cfg.Schedule.LR(o.step)
 	o.step++
 	t := float64(o.step)
 	b1c := 1 - math.Pow(o.cfg.Beta1, t)
 	b2c := 1 - math.Pow(o.cfg.Beta2, t)
+	b1, b2 := float32(o.cfg.Beta1), float32(o.cfg.Beta2)
+	eps := o.cfg.Eps
 
 	for i, p := range o.params {
 		g := p.Grad.Data()
-		v := p.Value.Data()
-
-		// LARC local rate and clip (§III-B).
-		scale := 1.0
-		if !o.cfg.DisableLARC {
-			vNorm := tensor.Norm2(v)
-			gNorm := tensor.Norm2(g)
-			var local float64
-			if vNorm != 0 && gNorm != 0 {
-				local = o.cfg.TrustCoef * vNorm / gNorm
-			} else {
-				local = o.cfg.FallbackLR
-			}
-			scale = math.Min(local, 1)
-		}
-
-		m, sv := o.m[i], o.v[i]
-		b1, b2 := float32(o.cfg.Beta1), float32(o.cfg.Beta2)
-		for j := range g {
-			gs := float32(scale) * g[j]
+		v := p.Value.Data()[:len(g)]
+		scale := float32(o.scale(v, g))
+		m, sv := o.m[i][:len(g)], o.v[i][:len(g)]
+		for j, gj := range g {
+			gs := scale * gj
 			m[j] = b1*m[j] + (1-b1)*gs
 			sv[j] = b2*sv[j] + (1-b2)*gs*gs
 			mHat := float64(m[j]) / b1c
 			vHat := float64(sv[j]) / b2c
-			v[j] -= float32(eta * mHat / (math.Sqrt(vHat) + o.cfg.Eps))
+			v[j] -= float32(eta * mHat / (math.Sqrt(vHat) + eps))
 		}
 	}
+}
+
+// scale returns the LARC rate η† applied to a parameter's gradient: 1
+// when LARC is disabled, and clipped at 1 on the zero-norm fallback too.
+func (o *AdamLARC) scale(v, g []float32) float64 {
+	if o.cfg.DisableLARC {
+		return 1
+	}
+	return larcScale(v, g, o.cfg.TrustCoef, math.Min(o.cfg.FallbackLR, 1))
 }
 
 // LocalRates reports each parameter's LARC scale η† for the current
@@ -179,21 +180,27 @@ func (o *AdamLARC) Step() {
 func (o *AdamLARC) LocalRates() []float64 {
 	out := make([]float64, len(o.params))
 	for i, p := range o.params {
-		if o.cfg.DisableLARC {
-			out[i] = 1
-			continue
-		}
-		vNorm := tensor.Norm2(p.Value.Data())
-		gNorm := tensor.Norm2(p.Grad.Data())
-		var local float64
-		if vNorm != 0 && gNorm != 0 {
-			local = o.cfg.TrustCoef * vNorm / gNorm
-		} else {
-			local = o.cfg.FallbackLR
-		}
-		out[i] = math.Min(local, 1)
+		out[i] = o.scale(p.Value.Data(), p.Grad.Data())
 	}
 	return out
+}
+
+// larcScale returns LARC's clipped local rate (§III-B)
+// min(trust·‖w‖₂/‖g‖₂, 1), or fallback when either norm is zero. Both
+// squared norms come from one sweep with float64 accumulators summed in
+// index order, which is exactly what two tensor.Norm2 calls compute.
+func larcScale(w, g []float32, trust, fallback float64) float64 {
+	w = w[:len(g)]
+	var ww, gg float64
+	for j, gj := range g {
+		ww += float64(w[j]) * float64(w[j])
+		gg += float64(gj) * float64(gj)
+	}
+	wNorm, gNorm := math.Sqrt(ww), math.Sqrt(gg)
+	if wNorm == 0 || gNorm == 0 {
+		return fallback
+	}
+	return math.Min(trust*wNorm/gNorm, 1)
 }
 
 // String describes the optimizer configuration.

@@ -1,11 +1,6 @@
 package optim
 
-import (
-	"math"
-
-	"repro/internal/nn"
-	"repro/internal/tensor"
-)
+import "repro/internal/nn"
 
 // SGDMomentum is the classic momentum optimizer, optionally wrapped with
 // the same LARC layer-wise rate control as the Adam path. LARS (You et al.
@@ -71,22 +66,16 @@ func (o *SGDMomentum) LR() float64 { return o.Schedule.LR(o.step) }
 func (o *SGDMomentum) Step() {
 	eta := o.Schedule.LR(o.step)
 	o.step++
+	mu := float32(o.Momentum)
 	for i, p := range o.params {
 		g := p.Grad.Data()
-		w := p.Value.Data()
+		w := p.Value.Data()[:len(g)]
 		scale := 1.0
 		if o.TrustCoef > 0 {
-			wNorm := tensor.Norm2(w)
-			gNorm := tensor.Norm2(g)
-			if wNorm != 0 && gNorm != 0 {
-				scale = math.Min(o.TrustCoef*wNorm/gNorm, 1)
-			} else {
-				scale = o.Fallback
-			}
+			scale = larcScale(w, g, o.TrustCoef, o.Fallback)
 		}
-		mu := float32(o.Momentum)
 		k := float32(eta * scale)
-		vel := o.velocity[i]
+		vel := o.velocity[i][:len(g)]
 		for j := range g {
 			vel[j] = mu*vel[j] - k*g[j]
 			w[j] += vel[j]
