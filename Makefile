@@ -35,13 +35,15 @@ race:
 	$(GO) test -race ./internal/serve ./internal/gateway ./internal/nn ./internal/comm ./internal/dist ./internal/data ./internal/train ./internal/obsv
 
 # Short fuzz of the decoders that read untrusted bytes: the wire codec
-# (header-bounded size checks, truncated frames, dims/dtype abuse) and
-# the training-state section (bounded counts, canonical re-encoding).
+# (header-bounded size checks, truncated frames, dims/dtype abuse), the
+# training-state section (bounded counts, canonical re-encoding) and the
+# dataset manifest (no panic, accepted manifests round-trip).
 # Seconds, not minutes — the corpus seeds cover the known-nasty shapes
 # and CI just shakes for regressions.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadTensor -fuzztime 10s ./internal/serve/wire
 	$(GO) test -run '^$$' -fuzz FuzzLoadTrainState -fuzztime 10s ./internal/train
+	$(GO) test -run '^$$' -fuzz FuzzParseManifest -fuzztime 10s ./internal/data
 
 # Full benchmark sweep (minutes); see EXPERIMENTS.md for the record.
 bench:

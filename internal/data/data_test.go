@@ -14,7 +14,7 @@ import (
 
 // writeDataset builds a small on-disk sharded dataset with a manifest:
 // nTrain train samples in shards of perFile, plus nVal validation samples.
-func writeDataset(t *testing.T, dim, nTrain, nVal, perFile int, seed int64) string {
+func writeDataset(t testing.TB, dim, nTrain, nVal, perFile int, seed int64) string {
 	t.Helper()
 	dir := t.TempDir()
 	rng := rand.New(rand.NewSource(seed))

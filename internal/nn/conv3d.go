@@ -13,7 +13,9 @@ import (
 // generic direct convolution, and a channel-blocked kernel structured
 // exactly like the paper's Algorithm 1 (16-channel blocks over input and
 // output, width-blocked inner loops) that is used automatically when the
-// layer shape allows it.
+// layer shape allows it. Backward runs generic weight and data kernels
+// driven by per-tap valid-output ranges, or the blocked data kernel where
+// the geometry allows it.
 type Conv3D struct {
 	InC, OutC  int
 	K          int // cubic kernel extent
@@ -34,6 +36,8 @@ type Conv3D struct {
 	packedT     *tensor.BlockedWeights
 	packedTSeen uint64
 	wVersion    uint64
+
+	bwd convBackward // backward scratch, built on first use
 }
 
 // NewConv3D builds a convolution layer. Weights use He initialization from
@@ -238,104 +242,227 @@ func (c *Conv3D) directChannelBatch(xds, yds [][]float32, in, out tensor.Shape, 
 	}
 }
 
-// Backward implements Layer, computing both the backward-data and
-// backward-weights operators (§III-C).
+// Backward implements Layer, computing the backward-weights and
+// backward-data operators (§III-C).
 func (c *Conv3D) Backward(dy *tensor.Tensor) *tensor.Tensor {
-	if c.x == nil {
-		panic("nn: Conv3D.Backward called before Forward")
-	}
-	x := c.x
-	in := x.Shape()
-	id, ih, iw := in[1], in[2], in[3]
-	out := dy.Shape()
-	od, oh, ow := out[1], out[2], out[3]
-	k, s, p := c.K, c.Stride, c.Pad
-	xd, dyd := x.Data(), dy.Data()
-	wd := c.W.Value.Data()
-	dwd, dbd := c.W.Grad.Data(), c.B.Grad.Data()
-
-	// Backward weights: each worker owns one output channel's dW slice and
-	// bias entry, so no reduction is needed — the paper's "sufficiently
-	// many channel blocks" strategy (§III-C).
-	c.pool.ForEach(c.OutC, 1, func(oc int) {
-		var db float64
-		for z := 0; z < od; z++ {
-			for yy := 0; yy < oh; yy++ {
-				for xx := 0; xx < ow; xx++ {
-					db += float64(dyd[((oc*od+z)*oh+yy)*ow+xx])
-				}
-			}
-		}
-		dbd[oc] += float32(db)
-		for ic := 0; ic < c.InC; ic++ {
-			for kd := 0; kd < k; kd++ {
-				for kh := 0; kh < k; kh++ {
-					for kw := 0; kw < k; kw++ {
-						var acc float64
-						for z := 0; z < od; z++ {
-							zi := z*s + kd - p
-							if zi < 0 || zi >= id {
-								continue
-							}
-							for yy := 0; yy < oh; yy++ {
-								yi := yy*s + kh - p
-								if yi < 0 || yi >= ih {
-									continue
-								}
-								dyRow := ((oc*od+z)*oh + yy) * ow
-								xRow := ((ic*id+zi)*ih + yi) * iw
-								for xx := 0; xx < ow; xx++ {
-									xi := xx*s + kw - p
-									if xi < 0 || xi >= iw {
-										continue
-									}
-									acc += float64(dyd[dyRow+xx]) * float64(xd[xRow+xi])
-								}
-							}
-						}
-						dwd[(((oc*c.InC+ic)*k+kd)*k+kh)*k+kw] += float32(acc)
-					}
-				}
-			}
-		}
-	})
-
-	// Backward data: blocked kernel when the layer geometry allows (§III-C),
-	// generic gather otherwise. Each generic worker owns one input channel.
-	if c.useBlockedBwdData(in, out) {
+	c.backwardParams(dy)
+	in := c.x.Shape()
+	if c.useBlockedBwdData(in, dy.Shape()) {
 		return c.backwardDataBlocked(dy, in)
 	}
 	dx := tensor.New(in...)
-	dxd := dx.Data()
-	c.pool.ForEach(c.InC, 1, func(ic int) {
-		for oc := 0; oc < c.OutC; oc++ {
-			wBase := (oc*c.InC + ic) * k * k * k
-			for z := 0; z < od; z++ {
-				for kd := 0; kd < k; kd++ {
-					zi := z*s + kd - p
-					if zi < 0 || zi >= id {
+	c.bwd.dy, c.bwd.dx = dy.Data(), dx.Data()
+	c.pool.For(c.InC, 1, c.bwd.data)
+	c.bwd.dy, c.bwd.dx = nil, nil
+	return dx
+}
+
+// backwardParams accumulates the weight and bias gradients for the output
+// gradient dy and computes no input gradient. Network.Backward calls it
+// alone for the first layer, whose input gradient nothing reads.
+func (c *Conv3D) backwardParams(dy *tensor.Tensor) {
+	if c.x == nil {
+		panic("nn: Conv3D.Backward called before Forward")
+	}
+	c.bwd.prepare(c, c.x.Shape(), dy.Shape())
+	c.bwd.dy = dy.Data()
+	c.pool.For(c.OutC, 1, c.bwd.weights)
+	c.bwd.dy = nil
+}
+
+// span is a half-open index interval [lo, hi).
+type span struct{ lo, hi int }
+
+// convBackward is a Conv3D's backward scratch, allocated on the layer's
+// first backward pass and reused by every later one. It holds the per-tap
+// valid output ranges and the operands of the current call, so the worker
+// functions handed to the pool are built once per layer, not per call.
+type convBackward struct {
+	// taps[a*K+t] is the output range along axis a (0 = depth, 1 = height,
+	// 2 = width) whose input coordinate o*Stride + t - Pad is in bounds.
+	taps    []span
+	in, out [3]int    // spatial extents of the input and of dy
+	dy, dx  []float32 // the current call's operands, nil between calls
+	accs    []float64 // K accumulators per output channel, padded by accStride
+	// weights and data are the pool loop bodies, bound to the layer once.
+	weights, data func(lo, hi int)
+}
+
+// prepare fills the tap ranges and extents for one backward call.
+func (b *convBackward) prepare(c *Conv3D, in, out tensor.Shape) {
+	k := c.K
+	if b.taps == nil {
+		b.taps = make([]span, 3*k)
+		b.accs = make([]float64, c.OutC*accStride(k))
+		b.weights = c.weightGradChannels
+		b.data = c.inputGradChannels
+	}
+	for a := 0; a < 3; a++ {
+		b.in[a], b.out[a] = in[a+1], out[a+1]
+		for t := 0; t < k; t++ {
+			b.taps[a*k+t] = tapRange(t, c.Stride, c.Pad, in[a+1], out[a+1])
+		}
+	}
+}
+
+// accStride pads each output channel's K accumulators to whole 64-byte
+// cache lines, so workers on neighbouring channels do not share a line.
+func accStride(k int) int { return (k + 7) &^ 7 }
+
+// tapRange returns the output interval whose input coordinate o*s + t - p
+// lies inside [0, extent), clipped to [0, out). An empty interval has
+// lo == hi.
+func tapRange(t, s, p, extent, out int) span {
+	var r span
+	if d := p - t; d > 0 {
+		r.lo = (d + s - 1) / s
+	}
+	if d := extent - 1 + p - t; d >= 0 {
+		r.hi = d/s + 1
+	}
+	r.hi = min(r.hi, out)
+	r.lo = min(r.lo, r.hi)
+	return r
+}
+
+// weightGradChannels accumulates dW and dB for output channels [lo, hi).
+// Each worker owns whole output channels, so no reduction is needed — the
+// paper's "sufficiently many channel blocks" strategy (§III-C).
+//
+// Every tap (kd, kh, kw) has one float64 accumulator that receives its
+// products in ascending (z, yy, xx) order over the tap's in-bounds outputs,
+// then is rounded once into dW. Taps whose depth or height range is empty
+// are skipped, and a tap with an empty width range adds +0; neither changes
+// a gradient accumulated from zero.
+func (c *Conv3D) weightGradChannels(lo, hi int) {
+	b := &c.bwd
+	k, s, p := c.K, c.Stride, c.Pad
+	id, ih, iw := b.in[0], b.in[1], b.in[2]
+	od, oh, ow := b.out[0], b.out[1], b.out[2]
+	tz, ty, tx := b.taps[:k], b.taps[k:2*k], b.taps[2*k:]
+	xd, dwd, dbd := c.x.Data(), c.W.Grad.Data(), c.B.Grad.Data()
+	for oc := lo; oc < hi; oc++ {
+		dyC := b.dy[oc*od*oh*ow : (oc+1)*od*oh*ow]
+		var db float64
+		for _, v := range dyC {
+			db += float64(v)
+		}
+		dbd[oc] += float32(db)
+		acc := b.accs[oc*accStride(k):][:k]
+		for ic := 0; ic < c.InC; ic++ {
+			xC := xd[ic*id*ih*iw : (ic+1)*id*ih*iw]
+			dw := dwd[(oc*c.InC+ic)*k*k*k:]
+			for kd, zr := range tz {
+				if zr.lo == zr.hi {
+					continue
+				}
+				for kh, yr := range ty {
+					if yr.lo == yr.hi {
 						continue
 					}
-					for yy := 0; yy < oh; yy++ {
-						for kh := 0; kh < k; kh++ {
+					clear(acc)
+					for z := zr.lo; z < zr.hi; z++ {
+						zi := z*s + kd - p
+						for yy := yr.lo; yy < yr.hi; yy++ {
 							yi := yy*s + kh - p
-							if yi < 0 || yi >= ih {
-								continue
-							}
-							dyRow := ((oc*od+z)*oh + yy) * ow
-							dxRow := ((ic*id+zi)*ih + yi) * iw
-							wRow := wBase + (kd*k+kh)*k
-							for xx := 0; xx < ow; xx++ {
-								dyv := float64(dyd[dyRow+xx])
-								if dyv == 0 {
-									continue
-								}
-								for kw := 0; kw < k; kw++ {
-									xi := xx*s + kw - p
-									if xi < 0 || xi >= iw {
-										continue
+							tapRow(acc, dyC[(z*oh+yy)*ow:][:ow], xC[(zi*ih+yi)*iw:][:iw], tx, s, p)
+						}
+					}
+					wRow := dw[(kd*k+kh)*k:][:k]
+					for kw, a := range acc {
+						wRow[kw] += float32(a)
+					}
+				}
+			}
+		}
+	}
+}
+
+// tapRow adds dy[xx]·x[xx*s+kw-p] to acc[kw] for every tap kw over its
+// in-bounds outputs xx (the ranges tx), in ascending xx. Over the range all
+// taps share, they advance together in groups of three: independent add
+// chains fed by one dy load. Before and after that range each tap finishes
+// alone.
+func tapRow(acc []float64, dy, x []float32, tx []span, s, p int) {
+	k := len(acc)
+	a, e := tx[0].lo, tx[k-1].hi // lo and hi are non-increasing in kw
+	if a >= e {
+		for kw, r := range tx {
+			acc[kw] = dotTap(acc[kw], dy, x, r.lo, r.hi, s, kw-p)
+		}
+		return
+	}
+	for kw, r := range tx {
+		acc[kw] = dotTap(acc[kw], dy, x, r.lo, a, s, kw-p)
+	}
+	kw := 0
+	for ; kw+3 <= k; kw += 3 {
+		a0, a1, a2 := acc[kw], acc[kw+1], acc[kw+2]
+		xi := a*s + kw - p
+		for _, d := range dy[a:e] {
+			dv := float64(d)
+			a0 += dv * float64(x[xi])
+			a1 += dv * float64(x[xi+1])
+			a2 += dv * float64(x[xi+2])
+			xi += s
+		}
+		acc[kw], acc[kw+1], acc[kw+2] = a0, a1, a2
+	}
+	for ; kw < k; kw++ {
+		acc[kw] = dotTap(acc[kw], dy, x, a, e, s, kw-p)
+	}
+	for kw, r := range tx {
+		acc[kw] = dotTap(acc[kw], dy, x, e, r.hi, s, kw-p)
+	}
+}
+
+// dotTap returns acc plus dy[xx]·x[xx*s+off] summed over xx in [lo, hi),
+// in ascending xx.
+func dotTap(acc float64, dy, x []float32, lo, hi, s, off int) float64 {
+	for xx := lo; xx < hi; xx++ {
+		acc += float64(dy[xx]) * float64(x[xx*s+off])
+	}
+	return acc
+}
+
+// inputGradChannels computes dX for input channels [lo, hi), each owned by
+// one worker. Every dX element receives its float32 adds in ascending
+// (oc, z, yy, xx) order of the output voxel they come from: kw runs from
+// K-1 down to 0 outside xx, and a larger kw meets a given dX element from a
+// smaller xx. Zero output gradients are skipped. Each product is rounded to
+// float32 once: the float64 product of two float32 values is exact, so
+// float32(w·d) equals float32(float64(w)·float64(d)), and the explicit
+// conversion keeps the compiler from fusing it into the add.
+func (c *Conv3D) inputGradChannels(lo, hi int) {
+	b := &c.bwd
+	k, s, p := c.K, c.Stride, c.Pad
+	id, ih, iw := b.in[0], b.in[1], b.in[2]
+	od, oh, ow := b.out[0], b.out[1], b.out[2]
+	tx := b.taps[2*k:]
+	wd := c.W.Value.Data()
+	for oc := 0; oc < c.OutC; oc++ {
+		dyC := b.dy[oc*od*oh*ow : (oc+1)*od*oh*ow]
+		for ic := lo; ic < hi; ic++ {
+			dxC := b.dx[ic*id*ih*iw : (ic+1)*id*ih*iw]
+			wC := wd[(oc*c.InC+ic)*k*k*k:]
+			for z := 0; z < od; z++ {
+				kdLo, kdHi := kernelRange(z, s, p, k, id)
+				for kd := kdLo; kd < kdHi; kd++ {
+					zi := z*s + kd - p
+					for yy := 0; yy < oh; yy++ {
+						khLo, khHi := kernelRange(yy, s, p, k, ih)
+						dyRow := dyC[(z*oh+yy)*ow:][:ow]
+						for kh := khLo; kh < khHi; kh++ {
+							yi := yy*s + kh - p
+							dxRow := dxC[(zi*ih+yi)*iw:][:iw]
+							wRow := wC[(kd*k+kh)*k:][:k]
+							for kw := k - 1; kw >= 0; kw-- {
+								w, xi := wRow[kw], tx[kw].lo*s+kw-p
+								for _, d := range dyRow[tx[kw].lo:tx[kw].hi] {
+									if d != 0 {
+										dxRow[xi] += float32(w * d)
 									}
-									dxd[dxRow+xi] += float32(float64(wd[wRow+kw]) * dyv)
+									xi += s
 								}
 							}
 						}
@@ -343,6 +470,5 @@ func (c *Conv3D) Backward(dy *tensor.Tensor) *tensor.Tensor {
 				}
 			}
 		}
-	})
-	return dx
+	}
 }

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -162,4 +163,49 @@ func TestPerLayerFLOPsMatchesLayers(t *testing.T) {
 	if sum != fwd {
 		t.Errorf("sum of per-layer Fwd = %d, TotalFLOPs fwd = %d", sum, fwd)
 	}
+}
+
+// bruteConvBackward extends the brute-force loop nest above into a float64
+// oracle for Conv3D's backward pass: it walks every output voxel, input
+// channel and kernel tap, skips taps that land in the padding, and
+// accumulates each product into dW, dB and dX in float64. The mag* slices
+// hold Σ|term| per element, the scale a rounding-error bound needs.
+func bruteConvBackward(c *Conv3D, x, dy *tensor.Tensor) (dW, dB, dX, magW, magX []float64) {
+	in, out := x.Shape(), dy.Shape()
+	k, s, p := c.K, c.Stride, c.Pad
+	xd, dyd, wd := x.Data(), dy.Data(), c.W.Value.Data()
+	dW = make([]float64, c.W.Value.NumElements())
+	magW = make([]float64, len(dW))
+	dB = make([]float64, c.OutC)
+	dX = make([]float64, x.NumElements())
+	magX = make([]float64, len(dX))
+	for oc := 0; oc < c.OutC; oc++ {
+		for z := 0; z < out[1]; z++ {
+			for yy := 0; yy < out[2]; yy++ {
+				for xx := 0; xx < out[3]; xx++ {
+					g := float64(dyd[((oc*out[1]+z)*out[2]+yy)*out[3]+xx])
+					dB[oc] += g
+					for ic := 0; ic < c.InC; ic++ {
+						for kd := 0; kd < k; kd++ {
+							for kh := 0; kh < k; kh++ {
+								for kw := 0; kw < k; kw++ {
+									zi, yi, xi := z*s+kd-p, yy*s+kh-p, xx*s+kw-p
+									if zi < 0 || zi >= in[1] || yi < 0 || yi >= in[2] || xi < 0 || xi >= in[3] {
+										continue
+									}
+									wi := (((oc*c.InC+ic)*k+kd)*k+kh)*k + kw
+									xi = ((ic*in[1]+zi)*in[2]+yi)*in[3] + xi
+									dW[wi] += g * float64(xd[xi])
+									magW[wi] += math.Abs(g * float64(xd[xi]))
+									dX[xi] += g * float64(wd[wi])
+									magX[xi] += math.Abs(g * float64(wd[wi]))
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return dW, dB, dX, magW, magX
 }

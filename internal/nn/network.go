@@ -62,23 +62,28 @@ func (n *Network) Forward(x *tensor.Tensor) *tensor.Tensor {
 }
 
 // Backward runs the full backward pass from the loss gradient, accumulating
-// parameter gradients. The gradient w.r.t. the network input is discarded
-// (the first layer's backward-data pass is still executed, as in the
-// profiled runs of Table I).
+// parameter gradients. The gradient w.r.t. the network input is never
+// used, so a first-layer convolution computes only its weight and bias
+// gradients and skips its backward-data pass.
 func (n *Network) Backward(dy *tensor.Tensor) {
 	n.BackwardWithHook(dy, nil)
 }
 
 // BackwardWithHook runs the backward pass, invoking hook after each layer's
-// gradients are final. The trainer's communication-overlap mode uses this
-// to start aggregating a layer's gradients while earlier layers are still
-// back-propagating — the non-blocking pipelining of the CPE ML Plugin
-// (§III-D).
+// gradients are final, for every layer from last to first. The trainer's
+// communication-overlap mode uses this to start aggregating a layer's
+// gradients while earlier layers are still back-propagating — the
+// non-blocking pipelining of the CPE ML Plugin (§III-D).
 func (n *Network) BackwardWithHook(dy *tensor.Tensor, hook func(Layer)) {
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		dy = n.Layers[i].Backward(dy)
+		l := n.Layers[i]
+		if c, ok := l.(*Conv3D); ok && i == 0 {
+			c.backwardParams(dy)
+		} else {
+			dy = l.Backward(dy)
+		}
 		if hook != nil {
-			hook(n.Layers[i])
+			hook(l)
 		}
 	}
 }

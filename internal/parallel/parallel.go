@@ -92,17 +92,22 @@ func (p *Pool) For(n, minGrain int, fn func(lo, hi int)) {
 		chunks = c
 	}
 	size := (n + chunks - 1) / chunks
-	var done sync.WaitGroup
+	done := waitGroups.Get().(*sync.WaitGroup)
 	lo := 0
 	for ; lo+size < n; lo += size {
 		done.Add(1)
-		p.tasks <- task{fn: fn, lo: lo, hi: lo + size, done: &done}
+		p.tasks <- task{fn: fn, lo: lo, hi: lo + size, done: done}
 	}
 	// Run the final chunk on the calling goroutine so the caller contributes
 	// work instead of idling, mirroring the OpenMP master thread (§V-B).
 	fn(lo, n)
 	done.Wait()
+	waitGroups.Put(done)
 }
+
+// waitGroups recycles For's completion counters, so a parallel loop whose
+// body is a prebuilt function does not allocate.
+var waitGroups = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
 
 // ForEach invokes fn(i) for every i in [0, n) using the pool.
 func (p *Pool) ForEach(n, minGrain int, fn func(i int)) {

@@ -1,6 +1,7 @@
 package parallel
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
@@ -120,4 +121,36 @@ func TestForUsableAfterClose(t *testing.T) {
 	if sum != 4950 {
 		t.Errorf("sum after close = %d, want 4950", sum)
 	}
+}
+
+// TestForConcurrentCallers shares one pool among goroutines that each run
+// many parallel loops, so recycled completion counters are handed from
+// call to call across goroutines; every loop must still cover its range
+// exactly once before it returns.
+func TestForConcurrentCallers(t *testing.T) {
+	p := NewPool(3)
+	defer p.Close()
+	const callers, loops, n = 4, 200, 37
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for l := 0; l < loops; l++ {
+				hits := make([]int32, n)
+				p.For(n, 1, func(lo, hi int) {
+					for i := lo; i < hi; i++ {
+						atomic.AddInt32(&hits[i], 1)
+					}
+				})
+				for i, h := range hits {
+					if h != 1 {
+						t.Errorf("index %d covered %d times", i, h)
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

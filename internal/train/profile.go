@@ -89,16 +89,18 @@ func forwardProfiled(net *nn.Network, x *tensor.Tensor, p *Profile) *tensor.Tens
 	return x
 }
 
-// backwardProfiled runs the backward pass with the same split.
+// backwardProfiled runs the network's own backward pass, the one untraced
+// training runs, timing each layer from the previous layer's hook call to
+// its own with the same split.
 func backwardProfiled(net *nn.Network, dy *tensor.Tensor, p *Profile) {
-	for i := len(net.Layers) - 1; i >= 0; i-- {
-		l := net.Layers[i]
-		start := time.Now()
-		dy = l.Backward(dy)
+	start := time.Now()
+	net.BackwardWithHook(dy, func(l nn.Layer) {
+		now := time.Now()
 		cat := CatNonConv
 		if _, ok := l.(*nn.Conv3D); ok {
 			cat = CatConv
 		}
-		p.Add(cat, time.Since(start))
-	}
+		p.Add(cat, now.Sub(start))
+		start = now
+	})
 }

@@ -175,6 +175,30 @@ func TestProfileCapturesCategories(t *testing.T) {
 	}
 }
 
+// TestProfileTimesTheRealBackward checks that -profile times the backward
+// pass untraced training runs: a profiled run ends with parameters
+// bit-equal to an unprofiled one.
+func TestProfileTimesTheRealBackward(t *testing.T) {
+	trainSet := syntheticSet(8, 8, 7)
+	params := func(profile bool) []float32 {
+		cfg := smallConfig(2, 1)
+		cfg.Profile = profile
+		res, err := Run(cfg, trainSet, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ps := make([]float32, res.Net.ParamCount())
+		res.Net.FlattenParams(ps)
+		return ps
+	}
+	plain, profiled := params(false), params(true)
+	for i := range plain {
+		if math.Float32bits(plain[i]) != math.Float32bits(profiled[i]) {
+			t.Fatalf("param %d: unprofiled %v, profiled %v", i, plain[i], profiled[i])
+		}
+	}
+}
+
 func TestEvaluateAndRelativeErrors(t *testing.T) {
 	priors := cosmo.DefaultPriors()
 	// A perfect predictor gives zero relative error.
