@@ -36,14 +36,17 @@ race:
 
 # Short fuzz of the decoders that read untrusted bytes: the wire codec
 # (header-bounded size checks, truncated frames, dims/dtype abuse), the
-# training-state section (bounded counts, canonical re-encoding) and the
-# dataset manifest (no panic, accepted manifests round-trip).
+# training-state section (bounded counts, canonical re-encoding), the
+# dataset manifest (no panic, accepted manifests round-trip) and the model
+# checkpoint (no panic, a failed load leaves the weights unchanged,
+# accepted checkpoints re-encode to a prefix of the input).
 # Seconds, not minutes — the corpus seeds cover the known-nasty shapes
 # and CI just shakes for regressions.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzReadTensor -fuzztime 10s ./internal/serve/wire
 	$(GO) test -run '^$$' -fuzz FuzzLoadTrainState -fuzztime 10s ./internal/train
 	$(GO) test -run '^$$' -fuzz FuzzParseManifest -fuzztime 10s ./internal/data
+	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/nn
 
 # Full benchmark sweep (minutes); see EXPERIMENTS.md for the record.
 bench:

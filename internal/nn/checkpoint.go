@@ -88,7 +88,10 @@ func (n *Network) SaveCheckpoint(w io.Writer) error {
 }
 
 // LoadCheckpoint restores parameters saved by SaveCheckpoint. The network
-// topology must match (same parameter names and shapes in order). Only the
+// topology must match (same parameter names and shapes in order). Values
+// are staged and copied into the network only once the checksum matches,
+// so on any error the parameters are unchanged, and every allocation is
+// sized by the network, never by a length read from r. Only the
 // checkpoint's own bytes are hashed, so a checkpoint followed by trailing
 // data (train's optimizer-state section) loads cleanly. The internal
 // buffering may still read ahead of the checkpoint's end, though: callers
@@ -134,10 +137,15 @@ func (n *Network) LoadCheckpoint(r io.Reader) error {
 	if int(count) != len(params) {
 		return fmt.Errorf("nn: checkpoint has %d parameters, network has %d", count, len(params))
 	}
+	staged := make([]float32, n.ParamCount())
+	off := 0
 	for _, p := range params {
 		nameLen, err := readU32()
 		if err != nil {
 			return err
+		}
+		if int(nameLen) != len(p.Name) {
+			return fmt.Errorf("nn: checkpoint parameter name of %d bytes does not match network parameter %q", nameLen, p.Name)
 		}
 		name := make([]byte, nameLen)
 		if err := readFull(name); err != nil {
@@ -163,13 +171,14 @@ func (n *Network) LoadCheckpoint(r io.Reader) error {
 				return fmt.Errorf("nn: %s: checkpoint dim %d is %d, network has %d", p.Name, i, d, shape[i])
 			}
 		}
-		data := p.Value.Data()
+		data := staged[off : off+p.NumElements()]
+		off += len(data)
+		raw := make([]byte, 4*len(data))
+		if err := readFull(raw); err != nil {
+			return err
+		}
 		for i := range data {
-			bits, err := readU32()
-			if err != nil {
-				return err
-			}
-			data[i] = math.Float32frombits(bits)
+			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
 		}
 	}
 	var b [4]byte
@@ -180,7 +189,7 @@ func (n *Network) LoadCheckpoint(r io.Reader) error {
 	if stored != crc.Sum32() {
 		return fmt.Errorf("nn: checkpoint checksum mismatch")
 	}
-	n.InvalidateWeights()
+	n.UnflattenParams(staged)
 	return nil
 }
 

@@ -57,10 +57,9 @@ func (c *Conv3D) cloneFor(pool *parallel.Pool) Layer {
 		W: c.W, B: c.B,
 		pool:       pool,
 		forceNaive: c.forceNaive,
-		// Share any packed weight caches already built: BlockedWeights are
-		// immutable once packed, and replicas never bump wVersion.
-		packed: c.packed, packedSeen: c.packedSeen,
-		packedT: c.packedT, packedTSeen: c.packedTSeen,
+		// Share any weight packs already built: a pack is never written
+		// after it is built, and replicas never bump wVersion.
+		fwdPack: c.fwdPack, bwdPack: c.bwdPack,
 		wVersion: c.wVersion,
 	}
 }

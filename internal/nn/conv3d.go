@@ -10,10 +10,10 @@ import (
 
 // Conv3D is a direct 3D convolution layer with bias, the computational core
 // of the CosmoFlow network (§III-C). Two forward kernels are provided: a
-// generic direct convolution, and a channel-blocked kernel structured
-// exactly like the paper's Algorithm 1 (16-channel blocks over input and
-// output, width-blocked inner loops) that is used automatically when the
-// layer shape allows it. Backward runs generic weight and data kernels
+// direct convolution over blocks of four output channels, and a
+// channel-blocked kernel structured exactly like the paper's Algorithm 1
+// (16-channel blocks over input and output, width-blocked inner loops) that
+// is used automatically when the layer shape allows it. Backward runs generic weight and data kernels
 // driven by per-tap valid-output ranges, or the blocked data kernel where
 // the geometry allows it.
 type Conv3D struct {
@@ -29,13 +29,11 @@ type Conv3D struct {
 	// cached between Forward and Backward
 	x *tensor.Tensor
 
-	// packed blocked weights, rebuilt lazily when the weight version bumps
-	packed     *tensor.BlockedWeights
-	packedSeen uint64
-	// transposed-flipped pack for the blocked backward-data kernel
-	packedT     *tensor.BlockedWeights
-	packedTSeen uint64
-	wVersion    uint64
+	// blocked-kernel weight packs of the live taps (packFor), rebuilt
+	// lazily when the weight version or the geometry moves: the forward
+	// pack, and the transposed-flipped one for backward-data
+	fwdPack, bwdPack *convPack
+	wVersion         uint64
 
 	bwd convBackward // backward scratch, built on first use
 }
@@ -63,13 +61,13 @@ func (c *Conv3D) Name() string { return c.W.Name[:len(c.W.Name)-2] }
 // Params returns the weight and bias parameters.
 func (c *Conv3D) Params() []*Param { return []*Param{c.W, c.B} }
 
-// ForceDirect disables the blocked Algorithm-1 kernel so the generic direct
+// ForceDirect disables the blocked Algorithm-1 kernels so the direct
 // convolution runs instead; used by the kernel ablation benchmarks.
 func (c *Conv3D) ForceDirect(v bool) { c.forceNaive = v }
 
 // InvalidateWeights must be called after W.Value is mutated outside
-// Backward/optimizer flow (e.g. direct writes in tests) so the packed
-// blocked weights are refreshed. The optimizer path calls it via the
+// Backward/optimizer flow (e.g. direct writes in tests) so the blocked
+// kernels' weight packs are rebuilt. The optimizer path calls it via the
 // network's hook.
 func (c *Conv3D) InvalidateWeights() { c.wVersion++ }
 
@@ -113,65 +111,114 @@ func (c *Conv3D) useBlocked() bool {
 		c.InC%tensor.BlockSize == 0 && c.OutC%tensor.BlockSize == 0
 }
 
-// Forward implements Layer.
+// Forward implements Layer: the inference kernel, plus the input cache
+// Backward reads.
 func (c *Conv3D) Forward(x *tensor.Tensor) *tensor.Tensor {
-	c.checkInput(x.Shape())
+	y := c.Infer(x)
 	c.x = x
-	if c.useBlocked() {
-		return c.forwardBlocked(x)
-	}
-	return c.forwardDirect(x)
-}
-
-// forwardDirect is the generic direct convolution, threaded over output
-// channels.
-func (c *Conv3D) forwardDirect(x *tensor.Tensor) *tensor.Tensor {
-	in := x.Shape()
-	out := c.OutputShape(in)
-	y := tensor.New(out...)
-	xd, yd := x.Data(), y.Data()
-	c.pool.ForEach(c.OutC, 1, func(oc int) {
-		c.directChannel(xd, yd, in, out, oc)
-	})
 	return y
 }
 
-// directChannel computes one output channel of the generic direct
-// convolution, writing every element of that channel's output slab. It is
-// the unit of thread decomposition for both the single-sample and batched
-// forward paths, so both produce bit-identical results: each output voxel's
-// accumulation runs in the same float64 order regardless of how (sample,
-// channel) tasks are scheduled.
-func (c *Conv3D) directChannel(xd, yd []float32, in, out tensor.Shape, oc int) {
+// ocBlock is the number of output channels the direct forward kernel
+// computes together, the output-channel blocking of Algorithm 1 (§III-C):
+// each input value it loads feeds ocBlock independent float64
+// accumulators, and the ocBlock widened weights of a tap stay in registers
+// across a row segment.
+const ocBlock = 4
+
+// rowSeg is the width of the output row segment whose accumulators the
+// direct forward kernel keeps live at once (ocBlock·rowSeg float64s, 1 KiB).
+const rowSeg = 32
+
+// forwardDirect runs the direct convolution of every input xs[b] into
+// ys[b], threaded over (sample, output-channel block, output depth) tasks.
+// Each task writes a disjoint output range, and each output voxel's
+// accumulation order does not depend on the task, so results are the same
+// bit for bit at any batch size and worker count.
+func (c *Conv3D) forwardDirect(xs, ys []*tensor.Tensor) {
+	in, out := xs[0].Shape(), ys[0].Shape()
+	od := out[1]
+	blocks := (c.OutC + ocBlock - 1) / ocBlock
+	tx := make([]span, c.K)
+	for kw := range tx {
+		tx[kw] = tapRange(kw, c.Stride, c.Pad, in[3], out[3])
+	}
+	c.pool.ForEach(len(xs)*blocks*od, 1, func(task int) {
+		b, ob, z := task/(blocks*od), task/od%blocks, task%od
+		c.directBlock(xs[b].Data(), ys[b].Data(), in, out, tx, ob*ocBlock, z)
+	})
+}
+
+// directBlock computes output depth z of the output channels
+// [oc0, oc0+ocBlock). Every voxel's accumulator starts at the channel's
+// bias and receives w·x for each in-bounds tap in ascending (ic, kd, kh, kw)
+// order, each product exact in float64, then rounds once to float32: the
+// order of the original one-channel direct loop, so the outputs are the
+// same bits. The taps run outside the voxels of a row segment, so each
+// weight is widened once per row segment rather than once per voxel.
+// Channels past OutC in a narrower last block alias the last channel and
+// rewrite its values unchanged.
+func (c *Conv3D) directBlock(xd, yd []float32, in, out tensor.Shape, tx []span, oc0, z int) {
 	id, ih, iw := in[1], in[2], in[3]
 	od, oh, ow := out[1], out[2], out[3]
-	wd, bd := c.W.Value.Data(), c.B.Value.Data()
 	k, s, p := c.K, c.Stride, c.Pad
-	for z := 0; z < od; z++ {
-		kdLo, kdHi := kernelRange(z, s, p, k, id)
-		for yy := 0; yy < oh; yy++ {
-			khLo, khHi := kernelRange(yy, s, p, k, ih)
-			for xx := 0; xx < ow; xx++ {
-				kwLo, kwHi := kernelRange(xx, s, p, k, iw)
-				acc := float64(bd[oc])
-				for ic := 0; ic < c.InC; ic++ {
-					wBase := (((oc*c.InC + ic) * k) * k) * k
-					for kd := kdLo; kd < kdHi; kd++ {
-						zi := z*s + kd - p
-						for kh := khLo; kh < khHi; kh++ {
-							yi := yy*s + kh - p
-							xRow := ((ic*id+zi)*ih + yi) * iw
-							wRow := wBase + (kd*k+kh)*k
-							for kw := kwLo; kw < kwHi; kw++ {
-								xi := xx*s + kw - p
-								acc += float64(wd[wRow+kw]) * float64(xd[xRow+xi])
+	n := c.InC * k * k * k
+	wd, bd := c.W.Value.Data(), c.B.Value.Data()
+	var w, y [ocBlock][]float32
+	var bias [ocBlock]float64
+	for j := range w {
+		oc := min(oc0+j, c.OutC-1)
+		w[j] = wd[oc*n:][:n]
+		y[j] = yd[(oc*od+z)*oh*ow:][:oh*ow]
+		bias[j] = float64(bd[oc])
+	}
+	var acc [ocBlock][rowSeg]float64
+	kdLo, kdHi := kernelRange(z, s, p, k, id)
+	for yy := 0; yy < oh; yy++ {
+		khLo, khHi := kernelRange(yy, s, p, k, ih)
+		for x0 := 0; x0 < ow; x0 += rowSeg {
+			seg := min(ow-x0, rowSeg)
+			for j := range acc {
+				for i := range seg {
+					acc[j][i] = bias[j]
+				}
+			}
+			for ic := 0; ic < c.InC; ic++ {
+				for kd := kdLo; kd < kdHi; kd++ {
+					for kh := khLo; kh < khHi; kh++ {
+						xRow := xd[((ic*id+z*s+kd-p)*ih+yy*s+kh-p)*iw:][:iw]
+						t := ((ic*k+kd)*k + kh) * k
+						for kw, r := range tx {
+							lo, hi := max(r.lo, x0), min(r.hi, x0+seg)
+							if lo >= hi {
+								continue
 							}
+							tapAxpy(&acc, lo-x0, hi-x0, xRow, lo*s+kw-p, s,
+								float64(w[0][t+kw]), float64(w[1][t+kw]), float64(w[2][t+kw]), float64(w[3][t+kw]))
 						}
 					}
 				}
-				yd[((oc*od+z)*oh+yy)*ow+xx] = float32(acc)
+			}
+			for j := range acc {
+				yRow := y[j][yy*ow+x0:][:seg]
+				for i := range yRow {
+					yRow[i] = float32(acc[j][i])
+				}
 			}
 		}
+	}
+}
+
+// tapAxpy adds wj·x[xi + (i-lo)·s] to acc[j][i] for i in [lo, hi) and each
+// channel j of the block: one tap's products over a row segment.
+func tapAxpy(acc *[ocBlock][rowSeg]float64, lo, hi int, x []float32, xi, s int, w0, w1, w2, w3 float64) {
+	for i := lo; i < hi; i++ {
+		v := float64(x[xi])
+		acc[0][i] += w0 * v
+		acc[1][i] += w1 * v
+		acc[2][i] += w2 * v
+		acc[3][i] += w3 * v
+		xi += s
 	}
 }
 
@@ -187,59 +234,6 @@ func kernelRange(o, s, p, k, extent int) (lo, hi int) {
 		hi = k
 	}
 	return lo, hi
-}
-
-// directChannelBatch computes one output channel for a whole micro-batch,
-// with the batch as the innermost loop: every weight element is loaded and
-// converted once and applied to all B samples, and the kernel-range and
-// index arithmetic — a large share of the direct kernel's per-voxel cost —
-// amortizes over the batch. Each sample's accumulator still receives the
-// same additions in the same order as directChannel, so batched outputs are
-// bit-identical to the per-sample kernel. accs is caller-provided scratch of
-// length >= len(xds).
-func (c *Conv3D) directChannelBatch(xds, yds [][]float32, in, out tensor.Shape, oc int, accs []float64) {
-	id, ih, iw := in[1], in[2], in[3]
-	od, oh, ow := out[1], out[2], out[3]
-	wd, bd := c.W.Value.Data(), c.B.Value.Data()
-	k, s, p := c.K, c.Stride, c.Pad
-	B := len(xds)
-	accs = accs[:B]
-	bias := float64(bd[oc])
-	for z := 0; z < od; z++ {
-		kdLo, kdHi := kernelRange(z, s, p, k, id)
-		for yy := 0; yy < oh; yy++ {
-			khLo, khHi := kernelRange(yy, s, p, k, ih)
-			for xx := 0; xx < ow; xx++ {
-				kwLo, kwHi := kernelRange(xx, s, p, k, iw)
-				for b := range accs {
-					accs[b] = bias
-				}
-				for ic := 0; ic < c.InC; ic++ {
-					wBase := (((oc*c.InC + ic) * k) * k) * k
-					for kd := kdLo; kd < kdHi; kd++ {
-						zi := z*s + kd - p
-						for kh := khLo; kh < khHi; kh++ {
-							yi := yy*s + kh - p
-							xRow := ((ic*id+zi)*ih + yi) * iw
-							wRow := wBase + (kd*k+kh)*k
-							for kw := kwLo; kw < kwHi; kw++ {
-								xi := xx*s + kw - p
-								w := float64(wd[wRow+kw])
-								xoff := xRow + xi
-								for b := 0; b < B; b++ {
-									accs[b] += w * float64(xds[b][xoff])
-								}
-							}
-						}
-					}
-				}
-				yo := ((oc*od+z)*oh+yy)*ow + xx
-				for b := 0; b < B; b++ {
-					yds[b][yo] = float32(accs[b])
-				}
-			}
-		}
-	}
 }
 
 // Backward implements Layer, computing the backward-weights and

@@ -15,30 +15,8 @@ import (
 //	dX[ic] = Σ_oc  dY[oc] ⊛ flip(W[oc][ic])
 //
 // so the Algorithm-1 forward kernel is reused verbatim on a transposed
-// weight pack. The pack is cached and refreshed with the same weight
-// version counter as the forward pack.
-
-// packTransposedFlipped builds W'[ic][oc][kd'][kh'][kw'] =
-// W[oc][ic][K-1-kd'][K-1-kh'][K-1-kw'] in the blocked layout.
-func (c *Conv3D) packTransposedFlipped() *tensor.BlockedWeights {
-	k := c.K
-	bw := tensor.NewBlockedWeights(c.InC, c.OutC, k, k, k)
-	src := c.W.Value.Data()
-	for oc := 0; oc < c.OutC; oc++ {
-		for ic := 0; ic < c.InC; ic++ {
-			base := (oc*c.InC + ic) * k * k * k
-			for kd := 0; kd < k; kd++ {
-				for kh := 0; kh < k; kh++ {
-					for kw := 0; kw < k; kw++ {
-						v := src[base+(kd*k+kh)*k+kw]
-						bw.Data[bw.Index(ic, oc, k-1-kd, k-1-kh, k-1-kw)] = v
-					}
-				}
-			}
-		}
-	}
-	return bw
-}
+// weight pack (packFor). The pack is cached and refreshed with the same
+// weight version counter as the forward pack.
 
 // useBlockedBwdData reports whether the transposed-forward trick applies:
 // stride 1 and "same" geometry (output extent equals input extent), which
@@ -59,17 +37,15 @@ func (c *Conv3D) useBlockedBwdData(inShape, outShape tensor.Shape) bool {
 // backwardDataBlocked computes dx with the blocked forward kernel over the
 // transposed-flipped weight pack.
 func (c *Conv3D) backwardDataBlocked(dy *tensor.Tensor, inShape tensor.Shape) *tensor.Tensor {
-	if c.packedT == nil || c.packedTSeen != c.wVersion {
-		c.packedT = c.packTransposedFlipped()
-		c.packedTSeen = c.wVersion
-	}
 	out := dy.Shape()
 	od, oh, ow := out[1], out[2], out[3]
-	k, p := c.K, c.Pad
+	p := c.Pad
 	bs := tensor.BlockSize
+	c.bwdPack = c.packFor(c.bwdPack, [3]int{od, oh, ow}, [3]int{inShape[1], inShape[2], inShape[3]}, true)
+	pk := c.bwdPack
+	ld, lh, lw := pk.live[0], pk.live[1], pk.live[2]
 
 	src := tensor.ToBlocked(dy)
-	wgt := c.packedT
 	dst := tensor.NewBlocked(c.InC, inShape[1], inShape[2], inShape[3])
 	icb := dst.CB
 	ocb := src.CB
@@ -88,20 +64,19 @@ func (c *Conv3D) backwardDataBlocked(dy *tensor.Tensor, inShape tensor.Shape) *t
 					acc[i] = 0
 				}
 				for ob := 0; ob < ocb; ob++ {
-					for kd := 0; kd < k; kd++ {
+					for kd := ld.lo; kd < ld.hi; kd++ {
 						zi := z + kd - p
 						if zi < 0 || zi >= od {
 							continue
 						}
-						for kh := 0; kh < k; kh++ {
+						for kh := lh.lo; kh < lh.hi; kh++ {
 							yi := yy + kh - p
 							if yi < 0 || yi >= oh {
 								continue
 							}
 							srcRow := ((ob*od+zi)*oh + yi) * ow * bs
-							for kw := 0; kw < k; kw++ {
-								wOff := ((((ib*ocb+ob)*k+kd)*k+kh)*k + kw) * bs * bs
-								wBlk := wgt.Data[wOff : wOff+bs*bs]
+							for kw := lw.lo; kw < lw.hi; kw++ {
+								wBlk := pk.block(ib, ob, kd, kh, kw)
 								for j := 0; j < wb; j++ {
 									xi := x0 + j + kw - p
 									if xi < 0 || xi >= ow {

@@ -359,9 +359,11 @@ func TestBackwardHookFiresPerLayerInOrder(t *testing.T) {
 
 // BenchmarkConv3DBackward times one Backward per CosmoFlow convolution at
 // the training benchmark's shape (dim 16, base 4), sweeping the worker
-// count. The generic layers allocate only the returned dX tensor; conv6 is
-// served by the blocked backward-data kernel, which also allocates its
-// blocked copies.
+// count. Each iteration invalidates the weights first, as every training
+// step does, so conv6's time includes the backward-data weight repack. The
+// generic layers allocate only the returned dX tensor; conv6 is served by
+// the blocked backward-data kernel, which also allocates its blocked
+// copies and its pack.
 func BenchmarkConv3DBackward(b *testing.B) {
 	for _, workers := range []int{1, 2, 4} {
 		pool := parallel.NewPool(workers)
@@ -383,6 +385,7 @@ func BenchmarkConv3DBackward(b *testing.B) {
 				c.Forward(x)
 				b.ReportAllocs()
 				for b.Loop() {
+					c.InvalidateWeights()
 					c.Backward(dy)
 				}
 			})

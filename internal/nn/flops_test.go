@@ -165,6 +165,39 @@ func TestPerLayerFLOPsMatchesLayers(t *testing.T) {
 	}
 }
 
+// TestBackwardFLOPsSkipFirstDataPass pins the backward count to the passes
+// Network.Backward runs: the first convolution computes no input gradient,
+// so the totals drop exactly its backward-data multiply-adds,
+// 2·K³·IC·OC·voxels = 2·27·1·2·8³ = 55296 at dim 8, base 2.
+func TestBackwardFLOPsSkipFirstDataPass(t *testing.T) {
+	net, err := BuildCosmoFlow(TopologyConfig{InputDim: 8, BaseChannels: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	shape := net.InputShape()
+	var every int64
+	for _, l := range net.Layers {
+		every += l.BwdFLOPs(shape)
+		shape = l.OutputShape(shape)
+	}
+	_, bwd := net.TotalFLOPs()
+	if d := every - bwd; d != 55296 {
+		t.Errorf("TotalFLOPs backward = %d, every layer's full backward = %d: difference %d, want 55296", bwd, every, d)
+	}
+	per := net.PerLayerFLOPs()
+	var sum int64
+	for _, lf := range per {
+		sum += lf.Bwd
+	}
+	if sum != bwd {
+		t.Errorf("sum of per-layer Bwd = %d, TotalFLOPs bwd = %d", sum, bwd)
+	}
+	conv1 := net.Layers[0].(*Conv3D)
+	if want := conv1.BwdFLOPs(net.InputShape()) - 55296; per[0].Bwd != want {
+		t.Errorf("conv1 Bwd = %d, want %d", per[0].Bwd, want)
+	}
+}
+
 // bruteConvBackward extends the brute-force loop nest above into a float64
 // oracle for Conv3D's backward pass: it walks every output voxel, input
 // channel and kernel tap, skips taps that land in the padding, and
@@ -208,4 +241,44 @@ func bruteConvBackward(c *Conv3D, x, dy *tensor.Tensor) (dW, dB, dX, magW, magX 
 		}
 	}
 	return dW, dB, dX, magW, magX
+}
+
+// bruteConvForward is the forward twin of bruteConvBackward: a float64
+// oracle that walks every output voxel, input channel and kernel tap, skips
+// taps that land in the padding, and sums the bias and each product in
+// float64. mag holds |bias| + Σ|term| per output.
+func bruteConvForward(c *Conv3D, x *tensor.Tensor) (y, mag []float64) {
+	in, out := x.Shape(), c.OutputShape(x.Shape())
+	k, s, p := c.K, c.Stride, c.Pad
+	xd, wd, bd := x.Data(), c.W.Value.Data(), c.B.Value.Data()
+	y = make([]float64, out.NumElements())
+	mag = make([]float64, len(y))
+	i := 0
+	for oc := 0; oc < c.OutC; oc++ {
+		for z := 0; z < out[1]; z++ {
+			for yy := 0; yy < out[2]; yy++ {
+				for xx := 0; xx < out[3]; xx++ {
+					y[i], mag[i] = float64(bd[oc]), math.Abs(float64(bd[oc]))
+					for ic := 0; ic < c.InC; ic++ {
+						for kd := 0; kd < k; kd++ {
+							for kh := 0; kh < k; kh++ {
+								for kw := 0; kw < k; kw++ {
+									zi, yi, xi := z*s+kd-p, yy*s+kh-p, xx*s+kw-p
+									if zi < 0 || zi >= in[1] || yi < 0 || yi >= in[2] || xi < 0 || xi >= in[3] {
+										continue
+									}
+									term := float64(wd[(((oc*c.InC+ic)*k+kd)*k+kh)*k+kw]) *
+										float64(xd[((ic*in[1]+zi)*in[2]+yi)*in[3]+xi])
+									y[i] += term
+									mag[i] += math.Abs(term)
+								}
+							}
+						}
+					}
+					i++
+				}
+			}
+		}
+	}
+	return y, mag
 }

@@ -55,14 +55,15 @@ func inferLayer(l Layer, x *tensor.Tensor) *tensor.Tensor {
 	return l.Forward(x)
 }
 
-// Infer implements inferrer: the same blocked/direct kernel dispatch as
-// Forward, minus the input cache.
+// Infer implements inferrer: Forward minus the input cache.
 func (c *Conv3D) Infer(x *tensor.Tensor) *tensor.Tensor {
 	c.checkInput(x.Shape())
 	if c.useBlocked() {
 		return c.forwardBlocked(x)
 	}
-	return c.forwardDirect(x)
+	y := tensor.New(c.OutputShape(x.Shape())...)
+	c.forwardDirect([]*tensor.Tensor{x}, []*tensor.Tensor{y})
+	return y
 }
 
 // Infer implements inferrer.

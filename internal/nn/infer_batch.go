@@ -146,28 +146,17 @@ func (c *Conv3D) inferBatch(xs []*tensor.Tensor, ctx *batchCtx) []*tensor.Tensor
 	}
 	out := c.OutputShape(in)
 	ys := make([]*tensor.Tensor, len(xs))
-	xds := make([][]float32, len(xs))
-	yds := make([][]float32, len(xs))
 	for i := range ys {
 		ys[i] = ctx.alloc(out...)
-		xds[i] = xs[i].Data()
-		yds[i] = ys[i].Data()
 	}
-	// One task per output channel, batch innermost: weights and index
-	// arithmetic amortize over the B samples (directChannelBatch), and each
-	// worker still owns a disjoint output range.
-	c.pool.For(c.OutC, 1, func(lo, hi int) {
-		accs := make([]float64, len(xs))
-		for oc := lo; oc < hi; oc++ {
-			c.directChannelBatch(xds, yds, in, out, oc, accs)
-		}
-	})
+	c.forwardDirect(xs, ys)
 	return ys
 }
 
 // inferBatchBlocked runs Algorithm 1 over the whole micro-batch: one layout
-// conversion pass, then one parallel-for over every (sample, channel-block,
-// depth) slab, sharing a single packed weight set. Blocked scratch recycles
+// conversion pass, then one parallel-for over every (channel-block, depth)
+// slab with the batch innermost, so each 16×16 weight block streams once
+// per kernel offset and serves all B samples. Blocked scratch recycles
 // through the buffer pool; useBlocked guarantees the channel counts are
 // multiples of BlockSize, so recycled buffers have no padding lanes to
 // clear.
@@ -175,7 +164,6 @@ func (c *Conv3D) inferBatchBlocked(xs []*tensor.Tensor, ctx *batchCtx) []*tensor
 	in := xs[0].Shape()
 	out := c.OutputShape(in)
 	od := out[1]
-	c.ensurePacked()
 
 	B := len(xs)
 	srcs := make([]*tensor.Blocked, B)
@@ -187,17 +175,7 @@ func (c *Conv3D) inferBatchBlocked(xs []*tensor.Tensor, ctx *batchCtx) []*tensor
 		tensor.ToBlockedInto(xs[b], srcs[b])
 		dsts[b] = tensor.WrapBlocked(ctx.buf.Get(dstLen), c.OutC, od, out[2], out[3])
 	})
-
-	// One task per slab, batch innermost: each 16×16 weight block streams
-	// once per kernel offset and serves all B samples (blockedSlabBatch),
-	// and each worker still owns disjoint output slabs across all samples.
-	slabs := (c.OutC / tensor.BlockSize) * od
-	c.pool.For(slabs, 1, func(lo, hi int) {
-		acc := make([]float32, B*widthBlock*tensor.BlockSize)
-		for task := lo; task < hi; task++ {
-			c.blockedSlabBatch(srcs, dsts, task, acc)
-		}
-	})
+	c.blockedSlabs(srcs, dsts)
 
 	ys := make([]*tensor.Tensor, B)
 	c.pool.ForEach(B, 1, func(b int) {

@@ -193,15 +193,27 @@ func (n *Network) InputShape() tensor.Shape {
 }
 
 // TotalFLOPs returns the forward and backward FLOP counts for one sample,
-// the quantities behind the paper's 69.33 Gflop/sample figure (§V-A).
+// the quantities behind the paper's 69.33 Gflop/sample figure (§V-A). The
+// backward count is the work Backward runs (see bwdFLOPs).
 func (n *Network) TotalFLOPs() (fwd, bwd int64) {
 	shape := n.InputShape()
-	for _, l := range n.Layers {
+	for i, l := range n.Layers {
 		fwd += l.FwdFLOPs(shape)
-		bwd += l.BwdFLOPs(shape)
+		bwd += n.bwdFLOPs(i, shape)
 		shape = l.OutputShape(shape)
 	}
 	return fwd, bwd
+}
+
+// bwdFLOPs returns layer i's backward FLOPs as Backward runs them at input
+// shape in. A first-layer convolution skips its backward-data pass, and
+// what remains (the weight-gradient multiply-adds plus the bias sums)
+// counts the same as its forward pass.
+func (n *Network) bwdFLOPs(i int, in tensor.Shape) int64 {
+	if c, ok := n.Layers[i].(*Conv3D); ok && i == 0 {
+		return c.FwdFLOPs(in)
+	}
+	return n.Layers[i].BwdFLOPs(in)
 }
 
 // LayerFLOPs returns per-layer forward/backward FLOPs and output shapes,
@@ -216,9 +228,9 @@ type LayerFLOPs struct {
 func (n *Network) PerLayerFLOPs() []LayerFLOPs {
 	shape := n.InputShape()
 	out := make([]LayerFLOPs, 0, len(n.Layers))
-	for _, l := range n.Layers {
+	for i, l := range n.Layers {
 		os := l.OutputShape(shape)
-		out = append(out, LayerFLOPs{Name: l.Name(), Fwd: l.FwdFLOPs(shape), Bwd: l.BwdFLOPs(shape), OutShape: os})
+		out = append(out, LayerFLOPs{Name: l.Name(), Fwd: l.FwdFLOPs(shape), Bwd: n.bwdFLOPs(i, shape), OutShape: os})
 		shape = os
 	}
 	return out
